@@ -153,8 +153,14 @@ pub enum FetchProgress {
 #[derive(Debug)]
 pub struct ChunkFetcher {
     cid: Xid,
-    buf: Vec<u8>,
+    /// Response bytes received before the header is complete.
+    head: Vec<u8>,
     header: Option<ChunkResponseHeader>,
+    /// Body bytes received so far, kept as the transport delivered them:
+    /// shared views, not copies. They are joined once, into a buffer of
+    /// exactly the header's `len`, when the body is complete.
+    body: Vec<Bytes>,
+    body_len: usize,
     done: bool,
 }
 
@@ -163,8 +169,10 @@ impl ChunkFetcher {
     pub fn new(cid: Xid) -> Self {
         ChunkFetcher {
             cid,
-            buf: Vec::new(),
+            head: Vec::new(),
             header: None,
+            body: Vec::new(),
+            body_len: 0,
             done: false,
         }
     }
@@ -183,11 +191,7 @@ impl ChunkFetcher {
     /// across disconnections).
     #[cfg(test)]
     pub(crate) fn received_bytes(&self) -> usize {
-        if self.header.is_some() {
-            self.buf.len()
-        } else {
-            0
-        }
+        self.body_len
     }
 
     /// Consumes response bytes; returns the new progress state.
@@ -195,25 +199,25 @@ impl ChunkFetcher {
         if self.done {
             return FetchProgress::Corrupt;
         }
-        self.buf.extend_from_slice(data);
+        let mut data = data.clone();
         if self.header.is_none() {
-            if self.buf.len() < RESPONSE_HDR_LEN {
+            let take = (RESPONSE_HDR_LEN - self.head.len()).min(data.len());
+            self.head.extend_from_slice(&data[..take]);
+            if self.head.len() < RESPONSE_HDR_LEN {
                 return FetchProgress::InProgress;
             }
-            match ChunkResponseHeader::decode(&self.buf) {
-                Ok(hdr) => {
-                    if !hdr.found {
-                        self.done = true;
-                        return FetchProgress::NotFound;
-                    }
-                    self.buf.drain(..RESPONSE_HDR_LEN);
-                    self.header = Some(hdr);
+            match ChunkResponseHeader::decode(&self.head) {
+                Ok(hdr) if !hdr.found => {
+                    self.done = true;
+                    return FetchProgress::NotFound;
                 }
+                Ok(hdr) => self.header = Some(hdr),
                 Err(_) => {
                     self.done = true;
                     return FetchProgress::Corrupt;
                 }
             }
+            data = data.slice(take..);
         }
         let Some(hdr) = self.header.as_ref() else {
             // The block above either stored a header or returned early; a
@@ -221,14 +225,22 @@ impl ChunkFetcher {
             self.done = true;
             return FetchProgress::Corrupt;
         };
-        if (self.buf.len() as u64) < hdr.len {
+        if !data.is_empty() {
+            self.body_len += data.len();
+            self.body.push(data);
+        }
+        if (self.body_len as u64) < hdr.len {
             return FetchProgress::InProgress;
         }
         self.done = true;
-        if self.buf.len() as u64 > hdr.len {
+        if self.body_len as u64 > hdr.len {
             return FetchProgress::Corrupt;
         }
-        let body = Bytes::from(std::mem::take(&mut self.buf));
+        let mut joined = Vec::with_capacity(self.body_len);
+        for part in self.body.drain(..) {
+            joined.extend_from_slice(&part);
+        }
+        let body = Bytes::from(joined);
         if Xid::for_content(&body) != self.cid {
             return FetchProgress::Corrupt;
         }

@@ -36,7 +36,11 @@ pub(crate) struct FetchState {
 #[derive(Debug)]
 pub struct HostMeta {
     pub(crate) hid: Xid,
-    pub(crate) nid: Option<Xid>,
+    /// Written only by [`HostMeta::attach`], which keeps `dag` in step.
+    nid: Option<Xid>,
+    /// The locator built from `hid` and `nid`, cached because every
+    /// inbound segment, connect and control send sources from it.
+    dag: Dag,
     pub(crate) primary_link: Option<LinkId>,
     pub(crate) cache_fetched: bool,
     pub(crate) services: Vec<Xid>,
@@ -45,13 +49,39 @@ pub struct HostMeta {
 }
 
 impl HostMeta {
-    /// The host's current locator address (`NID : HID`), or a bare `HID`
-    /// DAG while unattached.
-    pub(crate) fn local_dag(&self) -> Dag {
-        match self.nid {
+    /// Identity of an unattached host.
+    pub(crate) fn new(hid: Xid, cache_fetched: bool) -> Self {
+        HostMeta {
+            hid,
+            nid: None,
+            dag: Dag::direct(hid),
+            primary_link: None,
+            cache_fetched,
+            services: Vec::new(),
+            next_fetch_handle: 1,
+            next_token: 1,
+        }
+    }
+
+    /// Sets the data-plane attachment and rebuilds the cached locator.
+    pub(crate) fn attach(&mut self, nid: Option<Xid>, link: Option<LinkId>) {
+        self.nid = nid;
+        self.dag = match nid {
             Some(nid) => Dag::host(nid, self.hid),
             None => Dag::direct(self.hid),
-        }
+        };
+        self.primary_link = link;
+    }
+
+    /// The network the host is attached to, if any.
+    pub(crate) fn nid(&self) -> Option<Xid> {
+        self.nid
+    }
+
+    /// The host's current locator address (`NID : HID`), or a bare `HID`
+    /// DAG while unattached.
+    pub(crate) fn local_dag(&self) -> &Dag {
+        &self.dag
     }
 }
 
@@ -119,7 +149,7 @@ impl<'a, 'b> HostCtx<'a, 'b> {
 
     /// The network the host is currently attached to, if any.
     pub fn nid(&self) -> Option<Xid> {
-        self.meta.nid
+        self.meta.nid()
     }
 
     /// The current primary (data) interface.
@@ -136,14 +166,13 @@ impl<'a, 'b> HostCtx<'a, 'b> {
     /// association). Does not migrate live connections; see
     /// [`HostCtx::migrate_connections`].
     pub fn set_attachment(&mut self, nid: Option<Xid>, link: Option<LinkId>) {
-        self.meta.nid = nid;
-        self.meta.primary_link = link;
+        self.meta.attach(nid, link);
     }
 
     /// Migrates all live connections to the current local address after an
     /// active-session-migration pause (the layer-3 handoff cost).
     pub fn migrate_connections(&mut self, pause: SimDuration) {
-        let new_src = self.meta.local_dag();
+        let new_src = self.meta.local_dag().clone();
         let (mux, mut env) = self.env();
         mux.migrate_all(&mut env, new_src, pause);
     }
@@ -164,7 +193,7 @@ impl<'a, 'b> HostCtx<'a, 'b> {
     /// Opens a transport connection to `dst`; events arrive via
     /// [`crate::App::on_transport_event`].
     pub fn connect(&mut self, dst: Dag) -> ConnId {
-        let src = self.meta.local_dag();
+        let src = self.meta.local_dag().clone();
         let app_idx = self.app_idx;
         let (mux, mut env) = self.env();
         let id = mux.connect(&mut env, dst, src);
@@ -215,7 +244,7 @@ impl<'a, 'b> HostCtx<'a, 'b> {
         let cid = dag.intent();
         let handle = self.meta.next_fetch_handle;
         self.meta.next_fetch_handle += 1;
-        let src = self.meta.local_dag();
+        let src = self.meta.local_dag().clone();
         let app_idx = self.app_idx;
         let (mux, mut env) = self.env();
         let conn = mux.connect(&mut env, dag, src);
@@ -242,7 +271,7 @@ impl<'a, 'b> HostCtx<'a, 'b> {
 
     /// Sends a control datagram echoing an existing `token` (replies).
     pub fn send_control_with_token(&mut self, dst: Dag, service: Xid, token: u64, body: Bytes) {
-        let src = self.meta.local_dag();
+        let src = self.meta.local_dag().clone();
         let pkt = XiaPacket::new(
             dst,
             src,

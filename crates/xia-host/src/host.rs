@@ -69,15 +69,7 @@ impl Host {
     /// Builds a host from its configuration.
     pub fn new(config: HostConfig) -> Self {
         Host {
-            meta: HostMeta {
-                hid: config.hid,
-                nid: None,
-                primary_link: None,
-                cache_fetched: config.cache_fetched,
-                services: Vec::new(),
-                next_fetch_handle: 1,
-                next_token: 1,
-            },
+            meta: HostMeta::new(config.hid, config.cache_fetched),
             mux: TransportMux::new(config.transport, config.hid),
             store: ChunkStore::new(config.cache_capacity, config.cache_policy),
             server: ChunkServer::new(),
@@ -115,13 +107,12 @@ impl Host {
 
     /// Network attachment, if any.
     pub fn nid(&self) -> Option<Xid> {
-        self.meta.nid
+        self.meta.nid()
     }
 
     /// Sets the data-plane attachment before or during a run.
     pub fn set_attachment(&mut self, nid: Option<Xid>, link: Option<LinkId>) {
-        self.meta.nid = nid;
-        self.meta.primary_link = link;
+        self.meta.attach(nid, link);
     }
 
     /// Registers a control service SID (e.g. a staging VNF).
@@ -161,12 +152,14 @@ impl Host {
         self.meta.primary_link
     }
 
-    /// Drains packets emitted by the stack since the last call. The
-    /// wrapping node decides their egress: an [`EndHost`] sends them on
-    /// its primary link; a router routes them through its forwarding
-    /// engine.
-    pub fn take_outbox(&mut self) -> Vec<XiaPacket> {
-        std::mem::take(&mut self.outbox)
+    /// Exchanges the stack's outbox with `spare`, which the caller has
+    /// emptied: `spare` then holds the packets emitted since the last call,
+    /// and both buffers keep their capacity. The wrapping node decides
+    /// their egress: an [`EndHost`] sends them on its primary link; a
+    /// router routes them through its forwarding engine.
+    pub fn swap_outbox(&mut self, spare: &mut Vec<XiaPacket>) {
+        debug_assert!(spare.is_empty(), "swap_outbox would drop packets");
+        std::mem::swap(&mut self.outbox, spare);
     }
 
     /// Publishes `content` as pinned chunks of `chunk_size` bytes and
@@ -318,7 +311,7 @@ impl Host {
                 }
             }
             L4::Segment(_) => {
-                let local = self.meta.local_dag();
+                let local = self.meta.local_dag().clone();
                 let mut env = HostEnv {
                     sim: ctx,
                     outbox: &mut self.outbox,
@@ -626,7 +619,7 @@ impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
             .field("hid", &self.meta.hid)
-            .field("nid", &self.meta.nid)
+            .field("nid", &self.meta.nid())
             .field("apps", &self.apps.len())
             .field("connections", &self.mux.active_connections())
             .finish()
@@ -667,8 +660,9 @@ impl EndHost {
 
     /// Sends queued stack emissions out the primary link.
     fn flush(&mut self, ctx: &mut SimContext<'_, XiaPacket>) {
-        for pkt in self.host.take_outbox() {
-            match self.host.primary_link() {
+        let link = self.host.primary_link();
+        for pkt in self.host.outbox.drain(..) {
+            match link {
                 Some(link) => ctx.send(link, pkt),
                 None => self.dropped_no_link += 1,
             }

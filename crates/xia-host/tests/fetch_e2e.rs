@@ -1,11 +1,11 @@
 //! End-to-end chunk fetches between two host stacks over simulated links.
 
-use simnet::{LinkConfig, SimDuration, SimTime, Simulator};
+use simnet::{Context, LinkConfig, LinkId, Node, SimDuration, SimTime, Simulator};
 use util::bytes::Bytes;
 use xcache::Manifest;
 use xia_addr::{Dag, Principal, Xid};
 use xia_host::{App, EndHost, FetchResult, Host, HostConfig, HostCtx};
-use xia_wire::XiaPacket;
+use xia_wire::{ConnId, XiaPacket, L4};
 
 /// Fetches a list of chunk DAGs sequentially, recording results.
 struct SeqFetcher {
@@ -258,4 +258,127 @@ fn fetch_survives_link_outage() {
     assert!(matches!(done[0].1, FetchResult::Complete(_)));
     // Completion happened after the outage ended.
     assert!(done[0].2 > SimTime::from_micros(3_100_000));
+}
+
+/// Records the source address and kind of every packet it receives.
+#[derive(Default)]
+struct Recorder {
+    seen: Vec<(SimTime, Dag, Sent)>,
+}
+
+/// What a recorded packet was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sent {
+    Syn(ConnId),
+    Control,
+    Other,
+}
+
+impl Node<XiaPacket> for Recorder {
+    fn on_packet(&mut self, ctx: &mut Context<'_, XiaPacket>, _link: LinkId, pkt: XiaPacket) {
+        let sent = match &pkt.l4 {
+            L4::Segment(seg) if seg.flags.syn => Sent::Syn(seg.conn),
+            L4::Control { .. } => Sent::Control,
+            _ => Sent::Other,
+        };
+        self.seen.push((ctx.now(), pkt.src, sent));
+    }
+}
+
+/// Opens a connection and sends a control datagram on every timer; on
+/// the first timer it re-attaches to `roam_to` first and migrates its
+/// connections.
+struct Roamer {
+    peer: Dag,
+    roam_to: Xid,
+    conns: Vec<ConnId>,
+}
+
+impl App for Roamer {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+        self.conns.push(ctx.connect(self.peer.clone()));
+        ctx.send_control(self.peer.clone(), self.peer.intent(), Bytes::new());
+        ctx.set_app_timer(SimDuration::from_millis(10), 1);
+        ctx.set_app_timer(SimDuration::from_millis(30), 2);
+    }
+
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, key: u64) {
+        if key == 1 {
+            ctx.set_attachment(Some(self.roam_to), ctx.primary_link());
+            ctx.migrate_connections(SimDuration::from_millis(1));
+        }
+        self.conns.push(ctx.connect(self.peer.clone()));
+        ctx.send_control(self.peer.clone(), self.peer.intent(), Bytes::new());
+    }
+}
+
+/// The host caches its `NID : HID` locator; a re-attachment, through
+/// either [`HostCtx::set_attachment`] or [`Host::set_attachment`], must
+/// re-source new connections, control datagrams and migrated connections
+/// from the new network at once.
+#[test]
+fn reattachment_resources_every_sender_from_the_new_nid() {
+    let mut sim = Simulator::new(5);
+    let hid = Xid::new_random(Principal::Hid, 1);
+    let peer_hid = Xid::new_random(Principal::Hid, 2);
+    let [nid1, nid2, nid3] = [10, 11, 12].map(|n| Xid::new_random(Principal::Nid, n));
+    let mut host = Host::new(HostConfig::new(hid));
+    host.add_app(Box::new(Roamer {
+        peer: Dag::host(nid1, peer_hid),
+        roam_to: nid2,
+        conns: Vec::new(),
+    }));
+    let node = sim.add_node(Box::new(EndHost::new(host)));
+    let recorder = sim.add_node(Box::new(Recorder::default()));
+    let link = sim.add_link(
+        node,
+        recorder,
+        LinkConfig::wired(100_000_000, SimDuration::from_micros(100)),
+    );
+    let attach = |sim: &mut Simulator<XiaPacket>, nid| {
+        let end_host = sim.node_mut::<EndHost>(node).unwrap();
+        end_host.host_mut().set_attachment(Some(nid), Some(link));
+    };
+    attach(&mut sim, nid1);
+    sim.run_until(SimTime::from_micros(20_000));
+    attach(&mut sim, nid3);
+    sim.run_until(SimTime::from_micros(40_000));
+
+    let conns = &sim
+        .node::<EndHost>(node)
+        .unwrap()
+        .host()
+        .app::<Roamer>(0)
+        .unwrap()
+        .conns;
+    let seen = &sim.node::<Recorder>(recorder).unwrap().seen;
+    let sources = |from_ms: u64, to_ms: u64, what: Sent| -> Vec<Dag> {
+        seen.iter()
+            .filter(|(at, _, sent)| {
+                (from_ms * 1000..to_ms * 1000).contains(&at.as_micros()) && *sent == what
+            })
+            .map(|(_, src, _)| src.clone())
+            .collect()
+    };
+    let phases = [
+        (0, 10, nid1, conns[0]),
+        (10, 20, nid2, conns[1]),
+        (30, 40, nid3, conns[2]),
+    ];
+    for (from, to, nid, conn) in phases {
+        let want = Dag::host(nid, hid);
+        for what in [Sent::Syn(conn), Sent::Control] {
+            let srcs = sources(from, to, what);
+            assert!(!srcs.is_empty(), "no {what:?} sent in {from}..{to} ms");
+            assert!(
+                srcs.iter().all(|s| *s == want),
+                "{what:?} sourced from a stale locator"
+            );
+        }
+    }
+    // The first connection's handshake never completed; migrating it
+    // re-fires its SYN from the new locator.
+    let migrated = sources(10, 20, Sent::Syn(conns[0]));
+    assert!(!migrated.is_empty(), "migration did not re-fire the SYN");
+    assert!(migrated.iter().all(|s| *s == Dag::host(nid2, hid)));
 }

@@ -129,6 +129,7 @@ impl TransportMux {
         conn.start(env, &key);
         self.conns.insert(uid, conn);
         self.by_id.insert(id, uid);
+        self.debug_assert_reaped();
         id
     }
 
@@ -156,6 +157,7 @@ impl TransportMux {
         }
         let key = move |kind, gen| pack_key(uid, kind, gen);
         c.send(env, &key, data);
+        self.debug_assert_reaped();
         Ok(())
     }
 
@@ -180,6 +182,7 @@ impl TransportMux {
         let key = move |kind, gen| pack_key(uid, kind, gen);
         c.close(env, &key);
         self.reap(uid);
+        self.debug_assert_reaped();
         Ok(())
     }
 
@@ -191,18 +194,17 @@ impl TransportMux {
             }
             self.reap(uid);
         }
+        self.debug_assert_reaped();
     }
 
     /// Migrates every live connection to a new local source address after
     /// an `pause`-long active-session-migration outage (layer-3 handoff).
     pub fn migrate_all(&mut self, env: &mut dyn TransportEnv, new_src: Dag, pause: SimDuration) {
-        let uids: Vec<u64> = self.conns.keys().copied().collect();
-        for uid in uids {
-            if let Some(c) = self.conns.get_mut(&uid) {
-                let key = move |kind, gen| pack_key(uid, kind, gen);
-                c.migrate(env, &key, new_src.clone(), pause);
-            }
+        for (&uid, c) in &mut self.conns {
+            let key = move |kind, gen| pack_key(uid, kind, gen);
+            c.migrate(env, &key, new_src.clone(), pause);
         }
+        self.debug_assert_reaped();
     }
 
     /// Live connection count in migrating state (for tests/diagnostics).
@@ -232,6 +234,11 @@ impl TransportMux {
     /// new connection answers from (e.g. this host's `NID : HID`, or a
     /// router cache's own address when intercepting a CID request).
     pub fn on_packet(&mut self, env: &mut dyn TransportEnv, pkt: XiaPacket, local_src: Dag) {
+        self.demux(env, pkt, local_src);
+        self.debug_assert_reaped();
+    }
+
+    fn demux(&mut self, env: &mut dyn TransportEnv, pkt: XiaPacket, local_src: Dag) {
         let L4::Segment(seg) = pkt.l4 else {
             return;
         };
@@ -240,7 +247,7 @@ impl TransportMux {
                 let key = move |kind, gen| pack_key(uid, kind, gen);
                 c.on_segment(env, &key, seg, &pkt.src);
             }
-            self.reap_finished();
+            self.reap(uid);
             return;
         }
         // TIME_WAIT replay: a retransmitted FIN for a reaped connection
@@ -316,10 +323,14 @@ impl TransportMux {
             }
             self.reap(uid);
         }
+        self.debug_assert_reaped();
         true
     }
 
-    /// Removes `uid` if its connection has finished.
+    /// Removes `uid` if its connection has finished. A connection finishes
+    /// only in `on_segment`, `on_rto` or `abort`, and each public call
+    /// that runs one of them reaps its own uid here, so no call ever
+    /// scans the other live connections.
     fn reap(&mut self, uid: u64) {
         if !self.conns.get(&uid).is_some_and(|c| c.finished) {
             return;
@@ -337,16 +348,16 @@ impl TransportMux {
         }
     }
 
-    fn reap_finished(&mut self) {
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.finished)
-            .map(|(u, _)| *u)
-            .collect();
-        for uid in done {
-            self.reap(uid);
-        }
+    /// Checks the invariant that makes the per-uid [`Self::reap`] enough:
+    /// a connection only finishes inside a call on its own uid, and that
+    /// call reaps it before returning, so no live connection is finished
+    /// when a public call returns. Debug builds only — it walks every
+    /// connection.
+    fn debug_assert_reaped(&self) {
+        debug_assert!(
+            self.conns.values().all(|c| !c.finished),
+            "a finished connection outlived the call that finished it"
+        );
     }
 }
 

@@ -53,6 +53,13 @@ echo "== allocation regression (counting allocator, release) =="
 # Steady-state transmit/deliver must stay at zero heap ops per event.
 cargo test -q --offline --release -p softstage-bench --test alloc_regression
 
+echo "== perfbench's own tests (traced-vs-untraced equivalence, release) =="
+# The benchmark re-builds its worlds to wrap every node in a timer; these
+# tests prove the twin worlds stay byte-identical to the untraced ones, so
+# any host-stack change that would skew the per-layer attribution fails
+# here rather than in a later benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== overload suite (backpressure, admission, circuit breaker, release) =="
 cargo test -q --offline --release -p softstage-suite --test overload
 
