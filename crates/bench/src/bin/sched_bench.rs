@@ -1,23 +1,24 @@
-//! Simulator-core microbenchmark: events/sec and allocs/event for both
-//! event-queue backends.
+//! Simulator-core microbenchmark: events/sec and allocs/event for the
+//! timer-wheel event queue.
 //!
-//! Two workloads isolate the two costs the timer-wheel PR targets:
+//! Three workloads isolate the scheduler's costs:
 //!
 //! - `pingpong` — a zero-loss two-node packet exchange: the transmit /
 //!   deliver hot path, where pooled buffers and the recycled action
 //!   scratch should drive steady-state heap traffic to zero.
 //! - `timers` — thousands of outstanding timers, each re-armed on fire:
-//!   a deep queue where the wheel's O(1) push/pop meets the heap's
-//!   O(log n) sift.
+//!   a deep queue exercising the wheel's O(1) push/pop.
+//! - `rawq` — the same standing population on a bare [`WheelQueue`],
+//!   without the dispatch loop.
 //!
-//! Run `scripts/bench_reproduce.sh sched` to record the results (heap =
-//! the pre-wheel baseline) into BENCH_reproduce.json.
+//! Run `scripts/bench_reproduce.sh sched` to record the results into
+//! BENCH_reproduce.json.
 //!
 //! Usage: `sched_bench [--events N] [--json]`
 
 use simnet::{
-    Context, EventQueue, HeapQueue, LinkConfig, LinkId, Message, Node, Scheduler, SimDuration,
-    SimTime, Simulator, TimerKey, WheelQueue,
+    Context, LinkConfig, LinkId, Message, Node, SimDuration, SimTime, Simulator, TimerKey,
+    WheelQueue,
 };
 use softstage_bench::alloc_counter::{snapshot, CountingAlloc};
 use std::time::Instant;
@@ -103,8 +104,8 @@ fn measure(mut sim: Simulator<Ball>, warmup: u64, events: u64) -> Measure {
     }
 }
 
-fn pingpong(scheduler: Scheduler, warmup: u64, events: u64) -> Measure {
-    let mut sim = Simulator::with_scheduler(7, scheduler);
+fn pingpong(warmup: u64, events: u64) -> Measure {
+    let mut sim = Simulator::new(7);
     let a = sim.add_node(Box::new(Paddle {
         kick: true,
         link: None,
@@ -123,8 +124,8 @@ fn pingpong(scheduler: Scheduler, warmup: u64, events: u64) -> Measure {
     measure(sim, warmup, events)
 }
 
-fn timers(scheduler: Scheduler, warmup: u64, events: u64) -> Measure {
-    let mut sim = Simulator::with_scheduler(7, scheduler);
+fn timers(warmup: u64, events: u64) -> Measure {
+    let mut sim = Simulator::new(7);
     sim.add_node(Box::new(TimerFarm {
         outstanding: 4096,
         lcg: 0x9e3779b97f4a7c15,
@@ -133,9 +134,9 @@ fn timers(scheduler: Scheduler, warmup: u64, events: u64) -> Measure {
 }
 
 /// Raw queue throughput without the dispatch loop: push/pop cycles on a
-/// standing population, the purest scheduler comparison.
-fn raw_queue<Q: EventQueue<u64> + Default>(events: u64) -> Measure {
-    let mut q = Q::default();
+/// standing population.
+fn raw_queue(events: u64) -> Measure {
+    let mut q: WheelQueue<u64> = WheelQueue::new();
     let mut lcg = 1u64;
     let mut now = 0u64;
     let mut seq = 0u64;
@@ -195,12 +196,9 @@ fn main() {
     let warmup = (events / 10).max(10_000);
 
     let results = [
-        ("pingpong_wheel", pingpong(Scheduler::Wheel, warmup, events)),
-        ("pingpong_heap", pingpong(Scheduler::Heap, warmup, events)),
-        ("timers_wheel", timers(Scheduler::Wheel, warmup, events)),
-        ("timers_heap", timers(Scheduler::Heap, warmup, events)),
-        ("rawq_wheel", raw_queue::<WheelQueue<u64>>(events)),
-        ("rawq_heap", raw_queue::<HeapQueue<u64>>(events)),
+        ("pingpong_wheel", pingpong(warmup, events)),
+        ("timers_wheel", timers(warmup, events)),
+        ("rawq_wheel", raw_queue(events)),
     ];
 
     if json {

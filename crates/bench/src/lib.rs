@@ -1,10 +1,5 @@
-//! Benchmark crate: see the `benches/` directory. Each Criterion bench
-//! regenerates (a scaled-down instance of) one of the paper's tables or
-//! figures; the full-scale regeneration lives in the
-//! `softstage-experiments` crate's `reproduce` binary.
-//!
-//! This crate also hosts the [`alloc_counter`] instrumentation used by
-//! the scheduler microbenchmark (`src/bin/sched_bench.rs`) and the
+//! Benchmark crate: the [`alloc_counter`] instrumentation used by the
+//! scheduler microbenchmark (`src/bin/sched_bench.rs`) and the
 //! allocation regression test: a counting [`std::alloc::GlobalAlloc`]
 //! wrapper around the system allocator. That wrapper is the one place in
 //! the workspace that needs `unsafe` (the `GlobalAlloc` trait itself is

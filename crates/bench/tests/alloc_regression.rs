@@ -14,8 +14,8 @@
 //! a heap-ops-per-event budget with staging off and on.
 
 use simnet::{
-    BufPool, Context, EventQueue, LinkConfig, LinkId, Message, Node, Scheduler, SimDuration,
-    SimTime, Simulator, WheelQueue,
+    BufPool, Context, LinkConfig, LinkId, Message, Node, SimDuration, SimTime, Simulator,
+    WheelQueue,
 };
 use softstage_bench::alloc_counter::{snapshot, CountingAlloc};
 use softstage_experiments::fleet::{self, FleetParams};
@@ -50,8 +50,8 @@ impl Node<Ball> for Paddle {
     }
 }
 
-fn pingpong(scheduler: Scheduler) -> Simulator<Ball> {
-    let mut sim = Simulator::with_scheduler(7, scheduler);
+fn pingpong() -> Simulator<Ball> {
+    let mut sim = Simulator::new(7);
     let a = sim.add_node(Box::new(Paddle {
         kick: true,
         link: None,
@@ -75,26 +75,23 @@ fn pingpong(scheduler: Scheduler) -> Simulator<Ball> {
 }
 
 /// The headline guarantee: after warmup, the transmit/deliver cycle runs
-/// allocation-free on both backends (the heap backend reuses its arena
-/// in place; the wheel recycles buckets through its pool).
+/// allocation-free (the wheel recycles buckets through its pool).
 #[test]
 fn steady_state_transmit_cycle_allocates_nothing() {
-    for scheduler in [Scheduler::Wheel, Scheduler::Heap] {
-        let mut sim = pingpong(scheduler);
-        sim.run_while(SimTime::MAX, |s| s.stats().events >= 10_000);
-        let before = snapshot();
-        let target = sim.stats().events + 50_000;
-        sim.run_while(SimTime::MAX, |s| s.stats().events >= target);
-        let delta = snapshot().since(before);
-        assert_eq!(
-            delta.heap_ops(),
-            0,
-            "{scheduler:?}: steady-state transmit cycle touched the heap \
-             ({} allocs, {} reallocs over 50k events)",
-            delta.allocs,
-            delta.reallocs,
-        );
-    }
+    let mut sim = pingpong();
+    sim.run_while(SimTime::MAX, |s| s.stats().events >= 10_000);
+    let before = snapshot();
+    let target = sim.stats().events + 50_000;
+    sim.run_while(SimTime::MAX, |s| s.stats().events >= target);
+    let delta = snapshot().since(before);
+    assert_eq!(
+        delta.heap_ops(),
+        0,
+        "steady-state transmit cycle touched the heap \
+         ({} allocs, {} reallocs over 50k events)",
+        delta.allocs,
+        delta.reallocs,
+    );
 }
 
 /// The pool itself: capacity survives round trips, fresh allocations stop

@@ -120,29 +120,11 @@ impl FleetParams {
         self
     }
 
-    /// A stable memo key covering every field that can change results.
+    /// The memo key: the derived `Debug` rendering, which covers every
+    /// field by construction and prints each `f64` so it round-trips
+    /// exactly.
     pub fn key(&self) -> String {
-        format!(
-            "c{}-e{}-o{}x{}x{}-w{}-z{:.4}-cache{}-s{}-bw{}/{}/{}-rtt{}-b{}-a{}-h{}-v{}-seed{}",
-            self.clients,
-            self.edges,
-            self.catalog_objects,
-            self.chunks_per_object,
-            self.chunk_size,
-            self.objects_per_client,
-            self.zipf_skew,
-            self.edge_cache_bytes,
-            u8::from(self.staging),
-            self.wireless_bw_bps,
-            self.backhaul_bw_bps,
-            self.origin_bw_bps,
-            self.origin_rtt.as_micros(),
-            self.beacon_interval.as_micros(),
-            self.arrival_window.as_micros(),
-            self.horizon.as_micros(),
-            u8::from(self.verify_content),
-            self.seed,
-        )
+        format!("{self:?}")
     }
 }
 
@@ -712,6 +694,58 @@ mod tests {
         fn with_staging(mut self, staging: bool) -> Self {
             self.staging = staging;
             self
+        }
+    }
+
+    #[test]
+    fn memo_key_changes_with_every_field() {
+        // Exhaustive on purpose: a new field fails to compile here until
+        // it gets a perturbation below.
+        let FleetParams {
+            clients: _,
+            edges: _,
+            catalog_objects: _,
+            chunks_per_object: _,
+            chunk_size: _,
+            objects_per_client: _,
+            zipf_skew: _,
+            edge_cache_bytes: _,
+            staging: _,
+            wireless_bw_bps: _,
+            backhaul_bw_bps: _,
+            origin_bw_bps: _,
+            origin_rtt: _,
+            beacon_interval: _,
+            arrival_window: _,
+            horizon: _,
+            verify_content: _,
+            seed: _,
+        } = FleetParams::default();
+        let perturbations: [fn(&mut FleetParams); 18] = [
+            |p| p.clients += 1,
+            |p| p.edges += 1,
+            |p| p.catalog_objects += 1,
+            |p| p.chunks_per_object += 1,
+            |p| p.chunk_size += 1,
+            |p| p.objects_per_client += 1,
+            |p| p.zipf_skew += 1e-5,
+            |p| p.edge_cache_bytes += 1,
+            |p| p.staging = !p.staging,
+            |p| p.wireless_bw_bps += 1,
+            |p| p.backhaul_bw_bps += 1,
+            |p| p.origin_bw_bps += 1,
+            |p| p.origin_rtt += SimDuration::from_micros(1),
+            |p| p.beacon_interval += SimDuration::from_micros(1),
+            |p| p.arrival_window += SimDuration::from_micros(1),
+            |p| p.horizon += SimDuration::from_micros(1),
+            |p| p.verify_content = !p.verify_content,
+            |p| p.seed += 1,
+        ];
+        let base = FleetParams::default();
+        for (i, perturb) in perturbations.iter().enumerate() {
+            let mut p = base.clone();
+            perturb(&mut p);
+            assert_ne!(p.key(), base.key(), "perturbation {i} kept the key");
         }
     }
 

@@ -1,41 +1,71 @@
-//! Differential tests: the timer-wheel scheduler against the reference
-//! binary heap.
+//! Differential tests: the timer wheel against a reference binary heap.
 //!
-//! Every test drives the two [`EventQueue`] backends with the *same*
-//! operation sequence and asserts they agree — on each pop, on each
-//! non-mutating peek, and on the final drain. Seeded generators
+//! [`WheelQueue`] is the simulator's only event queue. The reference
+//! below is a min-heap over `(at, seq)`, whose pop order is the
+//! dispatch contract by definition, so the wheel always has an
+//! independent oracle. Every test drives both queues with
+//! the *same* operation sequence and asserts they agree — on each pop,
+//! on each non-mutating peek, and on the final drain. Seeded generators
 //! (`util::check` + `util::seed`) cover the regimes where a wheel can
 //! diverge from a heap: bursts of equal-timestamp events (FIFO
 //! tie-breaking), far-future events that overflow into high wheel
-//! levels (cascade correctness), pops cut short by a dispatch limit,
-//! and full simulator runs where in-flight deliveries are cancelled by
-//! link epochs.
+//! levels (cascade correctness), near-term work interleaved with rare
+//! far-future outliers, and pops cut short by a dispatch limit.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use simnet::rng::Rng;
-use simnet::{
-    Context, EventQueue, HeapQueue, LinkConfig, LinkId, Message, Node, Scheduler, SimDuration,
-    SimTime, Simulator, WheelQueue,
-};
+use simnet::{SimTime, WheelQueue};
 use util::check::{check, Gen};
 use util::seed;
 
 /// One observable pop result.
 type Popped = (SimTime, u64, u64);
 
+/// The reference queue: pops in ascending `(at, seq)` order. `seq` is
+/// unique per push, so the item never takes part in the ordering.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<Popped>>,
+}
+
+impl HeapQueue {
+    fn push(&mut self, at: SimTime, seq: u64, item: u64) {
+        self.heap.push(Reverse((at, seq, item)));
+    }
+
+    fn pop(&mut self) -> Option<Popped> {
+        self.heap.pop().map(|Reverse(p)| p)
+    }
+
+    fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
 /// Pops both queues once and asserts byte-for-byte agreement.
-fn pop_both(wheel: &mut WheelQueue<u64>, heap: &mut HeapQueue<u64>) -> Option<Popped> {
+fn pop_both(wheel: &mut WheelQueue<u64>, heap: &mut HeapQueue) -> Option<Popped> {
     let w = wheel.pop();
     let h = heap.pop();
     assert_eq!(w, h, "wheel and heap disagreed on pop order");
     w
 }
 
-/// Drives both backends through `ops` interleaved push/pop operations,
+/// Drives both queues through `ops` interleaved push/pop operations,
 /// with `delay` choosing each push's offset from the current clock, then
 /// drains and compares the tails.
 fn drive(g: &mut Gen, ops: usize, mut delay: impl FnMut(&mut Gen) -> u64) {
     let mut wheel: WheelQueue<u64> = WheelQueue::new();
-    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let mut heap = HeapQueue::default();
     let mut now = 0u64;
     let mut seq = 0u64;
     for _ in 0..ops {
@@ -87,16 +117,33 @@ fn far_future_events_overflow_wheel_levels() {
 }
 
 #[test]
+fn near_term_work_with_far_future_outliers_pops_identically() {
+    // Mostly sub-millisecond delays, with one push in 17 thrown ~2^40 µs
+    // out: near-term dispatch keeps interleaving with buckets parked on
+    // the high levels.
+    check("sched-diff-outliers", 40, |g| {
+        drive(g, 2_000, |g| {
+            let delay = g.u64_in(0, 999);
+            if g.u64_in(0, 16) == 0 {
+                delay << 40
+            } else {
+                delay
+            }
+        });
+    });
+}
+
+#[test]
 fn pop_limit_cuts_both_backends_at_the_same_event() {
     // Models Simulator::set_event_limit: dispatch stops after a fixed
     // number of pops, more work arrives, then the run resumes. The
     // prefix before the cut, the cut point, and the tail must all agree.
     check("sched-diff-limit", 30, |g| {
         let mut wheel: WheelQueue<u64> = WheelQueue::new();
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
+        let mut heap = HeapQueue::default();
         let mut seq = 0u64;
         let mut push_burst =
-            |wheel: &mut WheelQueue<u64>, heap: &mut HeapQueue<u64>, g: &mut Gen, base: u64| {
+            |wheel: &mut WheelQueue<u64>, heap: &mut HeapQueue, g: &mut Gen, base: u64| {
                 for _ in 0..g.usize_in(5, 40) {
                     let at = SimTime::from_micros(base + g.u64_in(0, 100));
                     wheel.push(at, seq, seq);
@@ -154,128 +201,4 @@ fn derived_seed_schedules_are_reproducible() {
         run(seed::derive(42, "sched-diff", 1)),
         "distinct replicates should explore distinct schedules"
     );
-}
-
-// ---------------------------------------------------------------------
-// End-to-end: a full simulator run, including epoch-cancelled in-flight
-// deliveries, is observably identical under both backends.
-
-#[derive(Clone, Debug, PartialEq)]
-struct Num(u64);
-impl Message for Num {
-    fn wire_size(&self) -> usize {
-        600
-    }
-}
-
-/// Echoes every received number back, incremented, up to a bound.
-struct Echo {
-    limit: u64,
-    log: Vec<(SimTime, u64)>,
-    kick: bool,
-    link: Option<LinkId>,
-}
-
-impl Node<Num> for Echo {
-    fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
-        if self.kick {
-            if let Some(l) = self.link {
-                ctx.send(l, Num(0));
-                // Equal-deadline timers ride along to exercise FIFO ties
-                // inside a real dispatch loop.
-                ctx.set_timer(SimDuration::from_millis(5), 1);
-                ctx.set_timer(SimDuration::from_millis(5), 2);
-            }
-        }
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_, Num>, link: LinkId, msg: Num) {
-        self.log.push((ctx.now(), msg.0));
-        if msg.0 < self.limit {
-            ctx.send(link, Num(msg.0 + 1));
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_, Num>, key: simnet::TimerKey) {
-        self.log.push((ctx.now(), u64::MAX - key));
-    }
-}
-
-fn lossy_run(
-    scheduler: Scheduler,
-    seed_val: u64,
-) -> (Vec<(SimTime, u64)>, Vec<(SimTime, u64)>, u64) {
-    let mut sim = Simulator::with_scheduler(seed_val, scheduler);
-    assert_eq!(sim.scheduler(), scheduler);
-    let a = sim.add_node(Box::new(Echo {
-        limit: 40,
-        log: vec![],
-        kick: true,
-        link: None,
-    }));
-    let b = sim.add_node(Box::new(Echo {
-        limit: 40,
-        log: vec![],
-        kick: false,
-        link: None,
-    }));
-    let l = sim.add_link(
-        a,
-        b,
-        LinkConfig::wireless(2_000_000, SimDuration::from_millis(3), 0.2),
-    );
-    sim.node_mut::<Echo>(a).unwrap().link = Some(l);
-    sim.node_mut::<Echo>(b).unwrap().link = Some(l);
-    // A mid-run outage cancels whatever is in flight via the link epoch.
-    sim.schedule_link_state(SimTime::from_micros(40_000), l, false);
-    sim.schedule_link_state(SimTime::from_micros(90_000), l, true);
-    sim.run();
-    let log_a = sim.node::<Echo>(a).unwrap().log.clone();
-    let log_b = sim.node::<Echo>(b).unwrap().log.clone();
-    (log_a, log_b, sim.stats().events)
-}
-
-#[test]
-fn full_simulator_run_is_identical_across_schedulers() {
-    for seed_val in [1, 7, 42, 1234] {
-        let wheel = lossy_run(Scheduler::Wheel, seed_val);
-        let heap = lossy_run(Scheduler::Heap, seed_val);
-        assert_eq!(wheel, heap, "seed {seed_val}: backends diverged");
-    }
-}
-
-#[test]
-fn set_scheduler_migrates_pending_events_in_order() {
-    // Build under one backend, flip to the other with events pending —
-    // the run must still match a pure single-backend run.
-    let pure = lossy_run(Scheduler::Heap, 11);
-    let mut sim = Simulator::with_scheduler(11, Scheduler::Wheel);
-    let a = sim.add_node(Box::new(Echo {
-        limit: 40,
-        log: vec![],
-        kick: true,
-        link: None,
-    }));
-    let b = sim.add_node(Box::new(Echo {
-        limit: 40,
-        log: vec![],
-        kick: false,
-        link: None,
-    }));
-    let l = sim.add_link(
-        a,
-        b,
-        LinkConfig::wireless(2_000_000, SimDuration::from_millis(3), 0.2),
-    );
-    sim.node_mut::<Echo>(a).unwrap().link = Some(l);
-    sim.node_mut::<Echo>(b).unwrap().link = Some(l);
-    sim.schedule_link_state(SimTime::from_micros(40_000), l, false);
-    sim.schedule_link_state(SimTime::from_micros(90_000), l, true);
-    // Pending events exist now (the scripted link flaps); migrate them.
-    sim.set_scheduler(Scheduler::Heap);
-    sim.run();
-    let got = (
-        sim.node::<Echo>(a).unwrap().log.clone(),
-        sim.node::<Echo>(b).unwrap().log.clone(),
-        sim.stats().events,
-    );
-    assert_eq!(got, pure);
 }

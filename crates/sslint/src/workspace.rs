@@ -4,17 +4,10 @@
 //! (crate `tests/`/`benches/` dirs and the root `tests/`/`examples/`
 //! dirs) that the cross-reference rules (`dead-pub`, `trace-coverage`)
 //! count identifier uses in without auditing it.
-//!
-//! File lexing is fanned out over [`util::sync::parallel_map`] (the same
-//! model-checked pool `experiments::exec` runs on): paths are collected
-//! and sorted first, workers fill result slots by index, and the merged
-//! model is therefore byte-identical for any worker count.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use util::sync::parallel_map;
 
 use crate::lex::{self, Lexed};
 use crate::manifest::{self, Manifest};
@@ -77,16 +70,10 @@ enum Bucket {
     Reference { owner: Option<String> },
 }
 
-/// Loads the workspace rooted at `root` with one lexer worker.
+/// Loads the workspace rooted at `root`. Only `crates/*/` directories
+/// that contain a `Cargo.toml` become members; everything is read
+/// eagerly so the rules run over a consistent snapshot.
 pub fn load(root: &Path) -> io::Result<Workspace> {
-    load_jobs(root, 1)
-}
-
-/// Loads the workspace rooted at `root`, lexing files on `jobs` scoped
-/// worker threads. Only `crates/*/` directories that contain a
-/// `Cargo.toml` become members; everything is read eagerly so the rules
-/// run over a consistent snapshot. The result is independent of `jobs`.
-pub fn load_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
     let root_manifest = match fs::read_to_string(root.join("Cargo.toml")) {
         Ok(text) => Some(manifest::parse(&text)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => None,
@@ -106,7 +93,7 @@ pub fn load_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
 
     let mut crates = Vec::new();
     // Work list: every file to lex, with its destination bucket. Sorted
-    // path order within each bucket keeps the merge deterministic.
+    // path order within each bucket keeps the model deterministic.
     let mut work: Vec<(PathBuf, Bucket)> = Vec::new();
     for dir in &crate_dirs {
         let dir_name = dir
@@ -159,20 +146,14 @@ pub fn load_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
         }
     }
 
-    // Read eagerly (I/O errors surface before any thread spawns), then
-    // lex on the pool.
-    let mut texts: Vec<String> = Vec::with_capacity(work.len());
-    for (path, _) in &work {
-        texts.push(fs::read_to_string(path)?);
-    }
-    let lexed = lex_pool(&texts, jobs);
-
     let mut ref_files = Vec::new();
-    for ((path, bucket), (lexed, mask)) in work.into_iter().zip(lexed) {
+    for (path, bucket) in work {
+        let lexed = lex::lex(&fs::read_to_string(&path)?);
         let rel = rel_to(root, &path);
         match bucket {
             Bucket::Src { crate_idx } => {
                 let is_bin = rel.contains("/src/bin/") || rel.ends_with("/src/main.rs");
+                let mask = lex::test_mask(&lexed.tokens);
                 crates[crate_idx].files.push(SrcFile {
                     rel,
                     is_bin,
@@ -188,17 +169,6 @@ pub fn load_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
         root_manifest,
         crates,
         ref_files,
-    })
-}
-
-/// Lexes `texts` on `jobs` scoped worker threads via
-/// [`util::sync::parallel_map`]; slot `i` always holds the result for
-/// `texts[i]`, so the output order never depends on scheduling.
-fn lex_pool(texts: &[String], jobs: usize) -> Vec<(Lexed, Vec<bool>)> {
-    parallel_map(texts.len(), jobs, |i| {
-        let lexed = lex::lex(&texts[i]);
-        let mask = lex::test_mask(&lexed.tokens);
-        (lexed, mask)
     })
 }
 
@@ -218,25 +188,4 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 fn rel_to(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.to_string_lossy().replace('\\', "/")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lex_pool_is_worker_count_independent() {
-        let texts: Vec<String> = (0..23)
-            .map(|i| format!("pub fn f{i}() {{ let x = {i}; call(x); }}"))
-            .collect();
-        let serial = lex_pool(&texts, 1);
-        for jobs in [2, 4, 9] {
-            let par = lex_pool(&texts, jobs);
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.0.tokens, b.0.tokens, "jobs={jobs}");
-                assert_eq!(a.1, b.1, "jobs={jobs}");
-            }
-        }
-    }
 }

@@ -11,11 +11,9 @@ cargo fmt --check
 echo "== tier-1: release build =="
 cargo build --release --offline
 
-echo "== sslint (determinism & hygiene audit): cold vs warm cache =="
-# Cold run (target/sslint-cache.json removed) then a warm replay of the
-# snapshot; fails unless the two JSONL reports are byte-identical (or the
-# audit itself finds anything), and records both wall-clocks as the
-# sslint entry in BENCH_reproduce.json.
+echo "== sslint (determinism & hygiene audit) =="
+# One audit of the live workspace; fails if it finds anything, and
+# records its wall-clock as the sslint entry in BENCH_reproduce.json.
 cargo build -q --release --offline -p sslint
 scripts/bench_reproduce.sh sslint
 
@@ -43,10 +41,11 @@ cargo test -q --offline
 echo "== chaos suite (fault injection, release) =="
 cargo test -q --offline --release -p softstage-suite --test chaos --test determinism
 
-echo "== scheduler differential suite (wheel vs heap, release) =="
-# Property tests drive both event-queue backends through the same push/pop
-# sequences (equal-timestamp bursts, far-future overflow, pop limits) and
-# full simulator runs, asserting identical dispatch order throughout.
+echo "== scheduler differential suite (timer wheel vs reference heap, release) =="
+# Property tests drive the simulator's timer wheel and a test-local
+# reference heap through the same push/pop sequences (equal-timestamp
+# bursts, far-future overflow, far-future outliers, pop limits),
+# asserting identical dispatch order throughout.
 cargo test -q --offline --release -p simnet --test sched_diff
 
 echo "== allocation regression (counting allocator, release) =="
@@ -81,9 +80,6 @@ RUSTFLAGS="--cfg model" CARGO_TARGET_DIR=target/model \
 echo "== golden traces (flight recorder + invariant oracle, release) =="
 cargo test -q --offline --release -p softstage-suite --test golden_trace
 
-echo "== benches compile (feature-gated, not run) =="
-cargo check -q --offline -p softstage-bench --features bench --benches
-
 echo "== reproduce: parallel determinism diff + wall-clock record =="
 # Paired --jobs 1 vs --jobs 2 on the small smoke target: fails unless
 # byte-identical, refreshes the smoke entry in BENCH_reproduce.json.
@@ -97,8 +93,8 @@ scripts/bench_reproduce.sh overload 2 1
 # --jobs 2 stay byte-identical. The full 1000-client sweep is the `fleet`
 # target: scripts/bench_reproduce.sh fleet 4
 scripts/bench_reproduce.sh fleet-smoke 2 1
-# Scheduler microbenchmark: events/sec and allocs/event for both queue
-# backends (heap = the pre-wheel baseline), recorded as the sched entry.
+# Scheduler microbenchmark: events/sec and allocs/event for the timer
+# wheel, recorded as the sched entry.
 scripts/bench_reproduce.sh sched
 # Model-checker throughput: schedules explored per second on the
 # canonical pool shape, recorded as the ssmc entry.
